@@ -41,7 +41,7 @@ class FingertablePollutionBehavior(NodeBehavior):
         capacity = self.node.successor_list.capacity
         colluders = [nid for nid in self.adversary.controlled_ids(alive_only=True) if nid != self.node.node_id]
         colluders.sort(key=lambda nid: space.distance(self.node.node_id, nid))
-        return tuple(colluders[:capacity]) or tuple(self.node.successor_list.nodes)
+        return tuple(colluders[:capacity]) or self.node.successor_list.view
 
     # --------------------------------------------------------------- responses
     def provide_routing_table(
@@ -55,22 +55,7 @@ class FingertablePollutionBehavior(NodeBehavior):
         manipulated_successors = self._colluding_successors()
         self.adversary.stats.tables_manipulated += 1
         self.adversary.observe(now, "pollution-response", node=node.node_id, requester=requester)
-        polluted = RoutingTableSnapshot(
-            owner_id=honest.owner_id,
-            fingers=honest.fingers,
-            successors=manipulated_successors,
-            predecessors=honest.predecessors,
-            timestamp=now,
-        )
-        signature = node.keypair.sign(polluted.payload())
-        return RoutingTableSnapshot(
-            owner_id=polluted.owner_id,
-            fingers=polluted.fingers,
-            successors=polluted.successors,
-            predecessors=polluted.predecessors,
-            timestamp=polluted.timestamp,
-            signature=signature,
-        )
+        return node.signed_routing_table(honest.fingers, manipulated_successors, honest.predecessors, now)
 
     def provide_predecessor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float
@@ -84,18 +69,13 @@ class FingertablePollutionBehavior(NodeBehavior):
             colluders.sort(key=lambda nid: space.distance(nid, node.node_id))
             if colluders:
                 return tuple(colluders[:capacity])
-        return tuple(node.predecessor_list.nodes)
+        return node.predecessor_list.view
 
     def provide_successor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float
     ) -> SignedSuccessorList:
         """Cover for colluders on anonymous checks with bounded probability."""
         if purpose == "anonymous-lookup" and self.adversary.rng.stream("collusion").random() < self.collusion_consistency:
-            nodes = self._colluding_successors()
-            snapshot = SignedSuccessorList(owner_id=node.node_id, nodes=nodes, timestamp=now)
-            signature = node.keypair.sign(snapshot.payload())
             self.adversary.observe(now, "covering-successor-list", node=node.node_id)
-            return SignedSuccessorList(
-                owner_id=snapshot.owner_id, nodes=snapshot.nodes, timestamp=snapshot.timestamp, signature=signature
-            )
+            return node.sign_successor_list(self._colluding_successors(), now)
         return node.signed_successor_list(now=now)

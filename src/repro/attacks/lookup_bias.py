@@ -63,20 +63,7 @@ class LookupBiasBehavior(NodeBehavior):
         manipulated = tuple(colluders[:capacity])
         if manipulated:
             self.adversary.stats.tables_manipulated += 1
-        return manipulated or tuple(self.node.successor_list.nodes)
-
-    def _sign_successor_list(self, nodes: Tuple[int, ...], now: float, received_from: Optional[int] = None) -> SignedSuccessorList:
-        snapshot = SignedSuccessorList(
-            owner_id=self.node.node_id, nodes=nodes, timestamp=now, received_from=received_from
-        )
-        signature = self.node.keypair.sign(snapshot.payload())
-        return SignedSuccessorList(
-            owner_id=snapshot.owner_id,
-            nodes=snapshot.nodes,
-            timestamp=snapshot.timestamp,
-            signature=signature,
-            received_from=received_from,
-        )
+        return manipulated or self.node.successor_list.view
 
     # ---------------------------------------------------------------- responses
     def provide_routing_table(
@@ -90,22 +77,7 @@ class LookupBiasBehavior(NodeBehavior):
         manipulated = self._manipulated_successors()
         self.adversary.observe(now, "biased-lookup-response", node=node.node_id, requester=requester)
         self.adversary.stats.lookups_biased += 1
-        biased = RoutingTableSnapshot(
-            owner_id=honest.owner_id,
-            fingers=honest.fingers,
-            successors=manipulated,
-            predecessors=honest.predecessors,
-            timestamp=now,
-        )
-        signature = node.keypair.sign(biased.payload())
-        return RoutingTableSnapshot(
-            owner_id=biased.owner_id,
-            fingers=biased.fingers,
-            successors=biased.successors,
-            predecessors=biased.predecessors,
-            timestamp=biased.timestamp,
-            signature=signature,
-        )
+        return node.signed_routing_table(honest.fingers, manipulated, honest.predecessors, now)
 
     def provide_successor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float
@@ -115,5 +87,5 @@ class LookupBiasBehavior(NodeBehavior):
             attack_contexts.add("stabilize-successors")
         if purpose in attack_contexts and self.adversary.should_attack("lookup-bias"):
             self.adversary.observe(now, "biased-successor-list", node=node.node_id, requester=requester)
-            return self._sign_successor_list(self._manipulated_successors(), now)
+            return node.sign_successor_list(self._manipulated_successors(), now)
         return node.signed_successor_list(now=now)

@@ -12,15 +12,19 @@ lives in :mod:`repro.chord.routing_table`.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .idspace import IdSpace
 
 
 @dataclass
 class FingerEntry:
-    """A single finger: the ideal identifier and the actual node filling it."""
+    """A single finger: the ideal identifier and the actual node filling it.
+
+    :class:`FingerTable` hands these out as detached views of its state.
+    """
 
     index: int
     ideal_id: int
@@ -32,6 +36,12 @@ class FingerEntry:
 
 class FingerTable:
     """A node's finger table.
+
+    The fingers live in one immutable tuple, :attr:`pairs`, of
+    ``(ideal_id, node_id)`` pairs in index order.  Every mutator replaces the
+    tuple rather than editing it, and leaves it untouched when nothing
+    changes, so a routing-table snapshot can share it by reference and tell
+    "unchanged" from "changed" by identity alone.
 
     Parameters
     ----------
@@ -54,53 +64,50 @@ class FingerTable:
         # (With ``size == bits`` this is exactly Chord's ``owner + 2**i``; with
         # the paper's 12 fingers it is the 12 fingers that actually matter for
         # O(log N) routing — the shorter ones all collapse onto the successor.)
-        self._entries: List[FingerEntry] = [
-            FingerEntry(
-                index=i,
-                ideal_id=space.normalize(owner_id + (1 << (space.bits - size + i))),
-            )
-            for i in range(size)
-        ]
+        self.pairs: Tuple[Tuple[int, Optional[int]], ...] = tuple(
+            [(space.normalize(owner_id + (1 << (space.bits - size + i))), None) for i in range(size)]
+        )
 
     # ---------------------------------------------------------------- access
     def __len__(self) -> int:
         return self.size
 
     def entry(self, index: int) -> FingerEntry:
-        return self._entries[index]
+        """A detached view of finger ``index``; change it through :meth:`set`."""
+        ideal_id, node_id = self.pairs[index]
+        return FingerEntry(index, ideal_id, node_id)
 
     @property
     def entries(self) -> List[FingerEntry]:
-        return list(self._entries)
+        """Detached views of every finger, in index order."""
+        return [FingerEntry(i, ideal_id, node_id) for i, (ideal_id, node_id) in enumerate(self.pairs)]
 
     def ideal_id(self, index: int) -> int:
-        return self._entries[index].ideal_id
+        return self.pairs[index][0]
 
     def ideal_ids(self) -> List[int]:
         """Every entry's ideal identifier, in index order."""
-        return [e.ideal_id for e in self._entries]
+        return [ideal_id for ideal_id, _ in self.pairs]
 
     def get(self, index: int) -> Optional[int]:
         """The node currently filling finger ``index`` (or ``None``)."""
-        return self._entries[index].node_id
+        return self.pairs[index][1]
 
     def set(self, index: int, node_id: Optional[int]) -> None:
         """Set finger ``index`` to ``node_id``."""
-        self._entries[index].node_id = node_id
+        ideal_id, current = self.pairs[index]
+        if current != node_id:
+            pairs = list(self.pairs)
+            pairs[index] = (ideal_id, node_id)
+            self.pairs = tuple(pairs)
 
     def nodes(self) -> List[int]:
         """All distinct filled finger node ids, in index order."""
-        seen = set()
-        out = []
-        for e in self._entries:
-            if e.node_id is not None and e.node_id not in seen:
-                seen.add(e.node_id)
-                out.append(e.node_id)
-        return out
+        return [node for node in dict.fromkeys(nid for _, nid in self.pairs) if node is not None]
 
     def as_dict(self) -> Dict[int, Optional[int]]:
         """``{index: node_id}`` mapping (used when exchanging fingertables)."""
-        return {e.index: e.node_id for e in self._entries}
+        return {i: node_id for i, (_, node_id) in enumerate(self.pairs)}
 
     def fill_from(self, sorted_ids: Sequence[int]) -> None:
         """Fill every finger from a sorted list of all live node identifiers.
@@ -111,13 +118,8 @@ class FingerTable:
         """
         if not sorted_ids:
             raise ValueError("cannot fill a finger table from an empty ring")
-        import bisect
-
-        for e in self._entries:
-            pos = bisect.bisect_left(sorted_ids, e.ideal_id)
-            if pos == len(sorted_ids):
-                pos = 0
-            e.node_id = sorted_ids[pos]
+        n = len(sorted_ids)
+        self._replace([sorted_ids[bisect.bisect_left(sorted_ids, ideal_id) % n] for ideal_id, _ in self.pairs])
 
     def fill_targets(self, targets: Sequence[Optional[int]]) -> None:
         """Set every entry from pre-resolved targets (one per entry, in order).
@@ -127,24 +129,26 @@ class FingerTable:
         """
         if len(targets) != self.size:
             raise ValueError(f"expected {self.size} targets, got {len(targets)}")
-        for e, target in zip(self._entries, targets):
-            e.node_id = target
+        self._replace(targets)
+
+    def _replace(self, targets: Iterable[Optional[int]]) -> None:
+        """Point the fingers at ``targets``, keeping :attr:`pairs` if nothing moves."""
+        pairs = tuple([(ideal_id, target) for (ideal_id, _), target in zip(self.pairs, targets)])
+        if pairs != self.pairs:
+            self.pairs = pairs
 
     def copy(self) -> "FingerTable":
-        """Deep copy (used when adversaries fabricate manipulated tables)."""
+        """An independent copy (the immutable :attr:`pairs` tuple is shared)."""
         clone = FingerTable(self.owner_id, self.space, self.size)
-        for i, e in enumerate(self._entries):
-            clone._entries[i].node_id = e.node_id
+        clone.pairs = self.pairs
         return clone
 
     # ------------------------------------------------------------ maintenance
     def replace_node(self, old_id: int, new_id: Optional[int]) -> int:
         """Replace every occurrence of ``old_id`` with ``new_id``; returns count."""
-        count = 0
-        for e in self._entries:
-            if e.node_id == old_id:
-                e.node_id = new_id
-                count += 1
+        count = sum(1 for _, nid in self.pairs if nid == old_id)
+        if count:
+            self._replace(new_id if nid == old_id else nid for _, nid in self.pairs)
         return count
 
     def closest_preceding(self, key: int, exclude: Optional[set] = None) -> Optional[int]:
@@ -152,8 +156,7 @@ class FingerTable:
         exclude = exclude or set()
         best = None
         best_dist = None
-        for e in self._entries:
-            nid = e.node_id
+        for _, nid in self.pairs:
             if nid is None or nid in exclude or nid == self.owner_id:
                 continue
             if not self.space.in_interval(nid, self.owner_id, key):
@@ -164,5 +167,5 @@ class FingerTable:
         return best
 
     def __repr__(self) -> str:  # pragma: no cover
-        filled = sum(1 for e in self._entries if e.is_filled())
+        filled = sum(1 for _, nid in self.pairs if nid is not None)
         return f"FingerTable(owner={self.owner_id}, filled={filled}/{self.size})"

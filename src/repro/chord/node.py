@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..crypto.keys import FAST, KeyPair
 from .fingertable import FingerTable
 from .idspace import IdSpace
-from .routing_table import RoutingTableSnapshot
+from .routing_table import Fingers, RoutingContent, RoutingTableSnapshot, referenced_nodes, routing_payload
 from .successor_list import NeighborList, SignedSuccessorList
 
 
@@ -54,7 +54,7 @@ class NodeBehavior:
         self, node: "ChordNode", requester: Optional[int], purpose: str, now: float
     ) -> Tuple[int, ...]:
         """Return the predecessor list (used by secret finger surveillance)."""
-        return tuple(node.predecessor_list.nodes)
+        return node.predecessor_list.view
 
     def should_drop(self, node: "ChordNode", purpose: str, context: Dict, now: float) -> bool:
         """Whether to drop a message this node is asked to forward/answer."""
@@ -127,6 +127,8 @@ class ChordNode:
         #: secret finger surveillance (Section 4.4).
         self.buffered_fingertables: List[RoutingTableSnapshot] = []
         self.fingertable_buffer_capacity = 8
+        #: shared by every snapshot of the current routing tuples
+        self._content: Optional[RoutingContent] = None
 
     # ------------------------------------------------------------------ state
     @property
@@ -142,53 +144,53 @@ class ChordNode:
 
     def routing_nodes(self) -> List[int]:
         """Every node referenced by the routing state (fingers + successors)."""
-        seen = set()
-        out = []
-        for nid in self.finger_table.nodes() + self.successor_list.nodes:
-            if nid not in seen and nid != self.node_id:
-                seen.add(nid)
-                out.append(nid)
-        return out
+        return list(referenced_nodes(self.node_id, self.finger_table.pairs, self.successor_list.view))
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self, now: float = 0.0, include_predecessors: bool = False, sign: bool = True) -> RoutingTableSnapshot:
-        """Produce a signed snapshot of the node's current routing table."""
-        fingers = tuple((e.ideal_id, e.node_id) for e in self.finger_table.entries)
-        snapshot = RoutingTableSnapshot(
-            owner_id=self.node_id,
-            fingers=fingers,
-            successors=tuple(self.successor_list.nodes),
-            predecessors=tuple(self.predecessor_list.nodes) if include_predecessors else (),
-            timestamp=now,
-        )
-        if sign:
-            signature = self.keypair.sign(snapshot.payload())
-            snapshot = RoutingTableSnapshot(
-                owner_id=snapshot.owner_id,
-                fingers=snapshot.fingers,
-                successors=snapshot.successors,
-                predecessors=snapshot.predecessors,
-                timestamp=snapshot.timestamp,
-                signature=signature,
-            )
-        return snapshot
+        """Produce a signed snapshot of the node's current routing table.
+
+        Snapshots of an unchanged table share the node's routing tuples and
+        one :class:`RoutingContent`, rebuilt only when a tuple is replaced.
+        """
+        fingers = self.finger_table.pairs
+        successors = self.successor_list.view
+        predecessors = self.predecessor_list.view if include_predecessors else ()
+        content = self._content
+        if content is None or not content.describes(self.node_id, fingers, successors, predecessors):
+            content = self._content = RoutingContent(self.node_id, fingers, successors, predecessors)
+        if not sign:
+            return RoutingTableSnapshot(self.node_id, fingers, successors, predecessors, now, content=content)
+        return self.signed_routing_table(fingers, successors, predecessors, now, content)
+
+    def signed_routing_table(
+        self,
+        fingers: Fingers,
+        successors: Tuple[int, ...],
+        predecessors: Tuple[int, ...] = (),
+        now: float = 0.0,
+        content: Optional[RoutingContent] = None,
+    ) -> RoutingTableSnapshot:
+        """Sign a routing table with this node's key.
+
+        The one signing path for routing tables, honest or fabricated; only
+        :meth:`snapshot` passes the node's shared ``content``.
+        """
+        payload = routing_payload(self.node_id, fingers, successors, predecessors, now, content)
+        signature = self.keypair.sign(payload)
+        return RoutingTableSnapshot(self.node_id, fingers, successors, predecessors, now, signature, content)
 
     def signed_successor_list(self, now: float = 0.0, received_from: Optional[int] = None) -> SignedSuccessorList:
         """Produce a signed successor-list snapshot (surveillance evidence)."""
-        snapshot = SignedSuccessorList(
-            owner_id=self.node_id,
-            nodes=tuple(self.successor_list.nodes),
-            timestamp=now,
-            received_from=received_from,
-        )
-        signature = self.keypair.sign(snapshot.payload())
-        return SignedSuccessorList(
-            owner_id=snapshot.owner_id,
-            nodes=snapshot.nodes,
-            timestamp=snapshot.timestamp,
-            signature=signature,
-            received_from=received_from,
-        )
+        return self.sign_successor_list(self.successor_list.view, now, received_from)
+
+    def sign_successor_list(
+        self, nodes: Tuple[int, ...], now: float = 0.0, received_from: Optional[int] = None
+    ) -> SignedSuccessorList:
+        """Sign a successor list with this node's key (honest or fabricated)."""
+        unsigned = SignedSuccessorList(self.node_id, nodes, now, received_from=received_from)
+        signature = self.keypair.sign(unsigned.payload())
+        return SignedSuccessorList(self.node_id, nodes, now, signature, received_from)
 
     # ------------------------------------------------------ proofs and buffers
     def store_successor_proof(self, proof: SignedSuccessorList) -> None:

@@ -11,9 +11,88 @@ applies to returned tables, Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .idspace import IdSpace
+
+
+Fingers = Tuple[Tuple[int, Optional[int]], ...]
+
+
+def _routing_prefix(
+    owner_id: int, fingers: Fingers, successors: Tuple[int, ...], predecessors: Tuple[int, ...]
+) -> bytes:
+    """The signed payload of a routing table, up to (excluding) its timestamp."""
+    finger_text = ";".join(f"{ideal}:{node}" for ideal, node in fingers)
+    succ = ",".join(str(n) for n in successors)
+    pred = ",".join(str(n) for n in predecessors)
+    return f"rt|{owner_id}|{finger_text}|{succ}|{pred}|".encode()
+
+
+def referenced_nodes(owner_id: int, fingers: Fingers, successors: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Distinct finger then successor ids, in order, without the owner."""
+    ordered = dict.fromkeys(node for _, node in fingers)
+    ordered.update(dict.fromkeys(successors))
+    return tuple(node for node in ordered if node is not None and node != owner_id)
+
+
+class RoutingContent:
+    """What an honest node's routing table derives from its routing state.
+
+    A node builds one of these whenever one of its finger, successor or
+    predecessor tuples is replaced (see :class:`FingerTable` and
+    :class:`NeighborList`), and every snapshot of the unchanged table shares
+    it: the payload bytes up to the timestamp, :meth:`RoutingTableSnapshot.all_nodes`
+    and the :class:`BoundChecker` verdict, memoized per checker parameters.
+    The content describes exactly the tuples it was built from, so a
+    snapshot trusts it only while its own fields *are* those tuples (see
+    :meth:`describes`); a table derived by hand or with
+    :func:`dataclasses.replace` is recomputed and checked from scratch.
+    """
+
+    __slots__ = ("owner_id", "fingers", "successors", "predecessors", "prefix", "nodes", "verdicts")
+
+    def __init__(
+        self, owner_id: int, fingers: Fingers, successors: Tuple[int, ...], predecessors: Tuple[int, ...]
+    ) -> None:
+        self.owner_id = owner_id
+        self.fingers = fingers
+        self.successors = successors
+        self.predecessors = predecessors
+        self.prefix = _routing_prefix(owner_id, fingers, successors, predecessors)
+        self.nodes = referenced_nodes(owner_id, fingers, successors)
+        #: ``BoundChecker.check`` results keyed by the checker's parameters
+        self.verdicts: Dict[Tuple[int, int, float], "BoundCheckResult"] = {}
+
+    def describes(
+        self, owner_id: int, fingers: Fingers, successors: Tuple[int, ...], predecessors: Tuple[int, ...]
+    ) -> bool:
+        """Whether this content was built from these very objects (identity, not equality)."""
+        return (
+            fingers is self.fingers
+            and successors is self.successors
+            and predecessors is self.predecessors
+            and owner_id == self.owner_id
+        )
+
+
+def routing_payload(
+    owner_id: int,
+    fingers: Fingers,
+    successors: Tuple[int, ...],
+    predecessors: Tuple[int, ...],
+    timestamp: float,
+    content: Optional[RoutingContent] = None,
+) -> bytes:
+    """The bytes a routing table's signature covers.
+
+    ``content`` supplies the prefix only if it describes these very fields.
+    """
+    if content is not None and content.describes(owner_id, fingers, successors, predecessors):
+        prefix = content.prefix
+    else:
+        prefix = _routing_prefix(owner_id, fingers, successors, predecessors)
+    return prefix + f"{timestamp:.3f}".encode()
 
 
 @dataclass(frozen=True)
@@ -37,41 +116,40 @@ class RoutingTableSnapshot:
         The owner's signature over :meth:`payload`; ``None`` in contexts where
         signatures are modelled but not computed (fast simulation mode still
         accounts for their bytes).
+    content:
+        The owner's shared :class:`RoutingContent`, for honest snapshots only.
+        It is used only while it describes this snapshot's own fields.
     """
 
     owner_id: int
-    fingers: Tuple[Tuple[int, Optional[int]], ...]
+    fingers: Fingers
     successors: Tuple[int, ...]
     predecessors: Tuple[int, ...] = ()
     timestamp: float = 0.0
     signature: object = None
+    content: Optional[RoutingContent] = field(default=None, compare=False, repr=False)
+
+    def trusted_content(self) -> Optional[RoutingContent]:
+        """:attr:`content` if it was built from this snapshot's very fields."""
+        content = self.content
+        if content is None or not content.describes(
+            self.owner_id, self.fingers, self.successors, self.predecessors
+        ):
+            return None
+        return content
 
     def payload(self) -> bytes:
-        fingers = ";".join(f"{ideal}:{node}" for ideal, node in self.fingers)
-        succ = ",".join(str(n) for n in self.successors)
-        pred = ",".join(str(n) for n in self.predecessors)
-        return f"rt|{self.owner_id}|{fingers}|{succ}|{pred}|{self.timestamp:.3f}".encode()
+        return routing_payload(
+            self.owner_id, self.fingers, self.successors, self.predecessors, self.timestamp, self.content
+        )
 
     # ----------------------------------------------------------------- access
-    def finger_nodes(self) -> List[int]:
-        """Distinct finger node ids in index order."""
-        seen = set()
-        out = []
-        for _, node in self.fingers:
-            if node is not None and node not in seen:
-                seen.add(node)
-                out.append(node)
-        return out
-
-    def all_nodes(self) -> List[int]:
+    def all_nodes(self) -> Tuple[int, ...]:
         """Every node id referenced by this table (fingers + successors)."""
-        seen = set()
-        out = []
-        for node in self.finger_nodes() + list(self.successors):
-            if node not in seen and node != self.owner_id:
-                seen.add(node)
-                out.append(node)
-        return out
+        content = self.trusted_content()
+        if content is not None:
+            return content.nodes
+        return referenced_nodes(self.owner_id, self.fingers, self.successors)
 
     def entry_count(self) -> int:
         """Number of routing items (for bandwidth accounting)."""
@@ -96,12 +174,12 @@ class RoutingTableSnapshot:
         return self.successors[0] if self.successors else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundCheckResult:
     """Outcome of NISAN-style bound checking on a returned routing table."""
 
     passed: bool
-    violations: List[str] = field(default_factory=list)
+    violations: Tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -134,7 +212,21 @@ class BoundChecker:
         return self.space.size / self.expected_network_size
 
     def check(self, table: RoutingTableSnapshot) -> BoundCheckResult:
-        """Check a routing table; returns which constraints were violated."""
+        """Check a routing table; returns which constraints were violated.
+
+        An honest snapshot's verdict is memoized in its shared
+        :class:`RoutingContent`; any other table is checked in full.
+        """
+        content = table.trusted_content()
+        if content is None:
+            return self._check(table)
+        key = (self.space.size, self.expected_network_size, self.tolerance_factor)
+        verdict = content.verdicts.get(key)
+        if verdict is None:
+            verdict = content.verdicts[key] = self._check(table)
+        return verdict
+
+    def _check(self, table: RoutingTableSnapshot) -> BoundCheckResult:
         violations: List[str] = []
         max_gap = self.tolerance_factor * self.expected_gap
         for ideal, node in table.fingers:
@@ -152,4 +244,4 @@ class BoundChecker:
             distances = [self.space.distance(table.owner_id, s) for s in table.successors]
             if distances != sorted(distances):
                 violations.append("successor list is not ordered by ring distance")
-        return BoundCheckResult(passed=not violations, violations=violations)
+        return BoundCheckResult(passed=not violations, violations=tuple(violations))

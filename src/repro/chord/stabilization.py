@@ -111,7 +111,7 @@ class Stabilizer:
         return node is not None and node.alive
 
     def _prune_dead(self, neighbor_list) -> None:
-        for nid in list(neighbor_list.nodes):
+        for nid in neighbor_list.view:
             node = self.ring.get(nid)
             if node is None or not node.alive:
                 neighbor_list.remove(nid)

@@ -13,13 +13,17 @@ The lists are ordered by ring distance from the owner and bounded in length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .idspace import IdSpace
 
 
 class NeighborList:
     """An ordered, bounded list of ring neighbors in one direction.
+
+    The entries live in one immutable tuple, exposed uncopied as
+    :attr:`view`.  Mutators replace the tuple and leave it untouched when
+    nothing changes, so snapshots can share it by reference.
 
     Parameters
     ----------
@@ -43,7 +47,7 @@ class NeighborList:
         self.space = space
         self.capacity = capacity
         self.direction = direction
-        self._nodes: List[int] = []
+        self._nodes: Tuple[int, ...] = ()
 
     # ---------------------------------------------------------------- helpers
     def _distance(self, node_id: int) -> int:
@@ -56,6 +60,11 @@ class NeighborList:
     def nodes(self) -> List[int]:
         """Entries ordered by increasing ring distance from the owner."""
         return list(self._nodes)
+
+    @property
+    def view(self) -> Tuple[int, ...]:
+        """The entries as the list's own immutable tuple (no copy)."""
+        return self._nodes
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -73,13 +82,14 @@ class NeighborList:
     # ------------------------------------------------------------- mutation
     def add(self, node_id: int) -> bool:
         """Insert ``node_id`` keeping order; returns whether the list changed."""
-        if node_id == self.owner_id or node_id in self._nodes:
+        nodes = self._nodes
+        if node_id == self.owner_id or node_id in nodes:
             return False
-        self._nodes.append(node_id)
-        self._nodes.sort(key=self._distance)
-        if len(self._nodes) > self.capacity:
-            dropped = self._nodes.pop()
-            return dropped != node_id
+        # Ring distances from the owner are distinct, so a full list would
+        # drop a candidate farther out than its last entry straight away.
+        if len(nodes) >= self.capacity and self._distance(node_id) > self._distance(nodes[-1]):
+            return False
+        self._nodes = tuple(sorted(nodes + (node_id,), key=self._distance)[: self.capacity])
         return True
 
     def update(self, node_ids: Iterable[int]) -> int:
@@ -93,26 +103,32 @@ class NeighborList:
     def remove(self, node_id: int) -> bool:
         """Remove ``node_id`` if present."""
         if node_id in self._nodes:
-            self._nodes.remove(node_id)
+            self._nodes = tuple(nid for nid in self._nodes if nid != node_id)
             return True
         return False
 
     def replace_all(self, node_ids: Sequence[int]) -> None:
-        """Replace the whole list (used when adopting a peer-provided list)."""
-        self._nodes = []
-        self.update(node_ids)
+        """Replace the whole list (used when adopting a peer-provided list).
+
+        Same result as clearing and then adding each id: the ``capacity``
+        closest distinct ids other than the owner.
+        """
+        candidates = dict.fromkeys(nid for nid in node_ids if nid != self.owner_id)
+        nodes = tuple(sorted(candidates, key=self._distance)[: self.capacity])
+        if nodes != self._nodes:
+            self._nodes = nodes
 
     def clear(self) -> None:
-        self._nodes = []
+        self._nodes = ()
 
     def copy(self) -> "NeighborList":
         clone = NeighborList(self.owner_id, self.space, self.capacity, self.direction)
-        clone._nodes = list(self._nodes)
+        clone._nodes = self._nodes
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "succ" if self.direction > 0 else "pred"
-        return f"NeighborList({kind}, owner={self.owner_id}, nodes={self._nodes})"
+        return f"NeighborList({kind}, owner={self.owner_id}, nodes={list(self._nodes)})"
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,15 @@ class KeyPair:
 
     # ----------------------------------------------------------------- signing
     def sign(self, message: bytes) -> Signature:
-        """Sign ``message`` and return a :class:`Signature`."""
+        """Sign ``message`` and return a :class:`Signature`.
+
+        In ``FAST`` mode the tag is an HMAC keyed by the *public* value, so
+        any node could forge another node's signature.  That is a modelling
+        assumption: no adversary in :mod:`repro.attacks` forges signatures,
+        every attack signs its fabricated tables with its own key, so
+        simulation results do not depend on it.  Use ``SCHNORR`` where
+        unforgeability matters.
+        """
         if not isinstance(message, (bytes, bytearray)):
             raise TypeError("message must be bytes")
         if self.mode == FAST:
@@ -152,6 +160,10 @@ def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
 
     Returns ``False`` (never raises) on any mismatch, including mode
     mismatches, so callers can treat verification failure uniformly.
+
+    ``FAST`` verification recomputes the public-value-keyed HMAC, so it
+    catches a table altered after signing but not a forged tag (see
+    :meth:`KeyPair.sign`); no adversary in :mod:`repro.attacks` forges.
     """
     if not isinstance(message, (bytes, bytearray)):
         return False
