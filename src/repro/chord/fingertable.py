@@ -125,7 +125,7 @@ class FingerTable:
         """Set every entry from pre-resolved targets (one per entry, in order).
 
         Counterpart of :meth:`fill_from` for callers that resolved the
-        ideals elsewhere (the ring kernels' cached finger resolution).
+        ideals elsewhere (the ring kernel's cached finger resolution).
         """
         if len(targets) != self.size:
             raise ValueError(f"expected {self.size} targets, got {len(targets)}")

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..crypto.ca import CertificateAuthority
 from ..crypto.keys import FAST
-from ..sim.kernel import make_ring_kernel, validate_kernel
+from ..sim.kernel import ArrayRingKernel
 from ..sim.rng import RandomSource
 from .idspace import IdSpace
 from .node import ChordNode
@@ -28,11 +28,6 @@ class RingConfig:
 
     Defaults follow Section 5.1 of the paper (N=1000 security experiments):
     12 fingers, 6 successors, 6 predecessors, 20% malicious nodes.
-
-    ``kernel`` selects the membership-state backend (see
-    :mod:`repro.sim.kernel`): ``"object"`` keeps the historical O(N)-scan
-    semantics, ``"array"`` maintains flat sorted arrays incrementally for
-    10^5+-node simulations.  Both are observationally identical.
     """
 
     n_nodes: int = 1000
@@ -43,7 +38,6 @@ class RingConfig:
     id_bits: int = 32
     key_mode: str = FAST
     seed: int = 0
-    kernel: str = "object"
 
 
 class ChordRing:
@@ -57,8 +51,7 @@ class ChordRing:
         self._sorted_ids: List[int] = []
         self.malicious_ids: Set[int] = set()
         self.removed_ids: Set[int] = set()
-        validate_kernel(self.config.kernel)
-        self.kernel = make_ring_kernel(self.config.kernel, space_size=space.size)
+        self.kernel = ArrayRingKernel(space.size)
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -127,8 +120,8 @@ class ChordRing:
 
         A full rebuild (``node_ids=None``, ring construction) fills finger
         tables directly from the alive view; targeted rebuilds (churn
-        rejoins) go through the kernel's ``resolve_fingers``, which the
-        array kernel caches per owner and invalidates on churn.
+        rejoins) go through the kernel's ``resolve_fingers``, which caches
+        rows per owner and invalidates them on churn.
         """
         alive_sorted = self.kernel.alive_ids_view()
         if not alive_sorted:

@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     security.add_argument("--attack-rate", type=float, default=1.0)
     security.add_argument("--churn-minutes", type=float, default=60.0)
     security.add_argument("--seed", type=int, default=0)
-    security.add_argument("--kernel", default="object", choices=["object", "array"],
-                          help="ring-membership backend (array scales to 1e5+ nodes)")
 
     anonymity = sub.add_parser("anonymity", help="H(I)/H(T) estimation (Figures 5/6)")
     anonymity.add_argument("--nodes", type=int, default=8000)
@@ -74,15 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     anonymity.add_argument("--dummies", type=int, default=6)
     anonymity.add_argument("--worlds", type=int, default=200)
     anonymity.add_argument("--seed", type=int, default=0)
-    anonymity.add_argument("--kernel", default="object", choices=["object", "array"],
-                           help="lookup-path backend (array scales to 1e5+ nodes)")
 
     efficiency = sub.add_parser("efficiency", help="latency/bandwidth comparison (Table 3, Figure 7(a))")
     efficiency.add_argument("--nodes", type=int, default=207)
     efficiency.add_argument("--lookups", type=int, default=80)
     efficiency.add_argument("--seed", type=int, default=0)
-    efficiency.add_argument("--kernel", default="object", choices=["object", "array"],
-                            help="ring-membership backend (array scales to 1e5+ nodes)")
 
     load = sub.add_parser("load", help="open-loop sustained-RPS load sweep (latency knee)")
     load.add_argument("--nodes", type=int, default=120)
@@ -93,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="arrival process / key distribution (poisson, uniform, zipf, hot-key-storm)")
     load.add_argument("--churn-minutes", type=float, default=60.0)
     load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--kernel", default="object", choices=["object", "array"],
-                      help="ring-membership backend (array scales to 1e5+ nodes)")
 
     timing = sub.add_parser("timing", help="timing-analysis error rate (Table 1)")
     timing.add_argument("--flows", type=int, default=1200)
@@ -103,8 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("--nodes", type=int, default=8000)
     ablation.add_argument("--malicious", type=float, default=0.2)
     ablation.add_argument("--worlds", type=int, default=150)
-    ablation.add_argument("--kernel", default="object", choices=["object", "array"],
-                          help="lookup-path backend (array scales to 1e5+ nodes)")
 
     sub.add_parser(
         "list-kinds",
@@ -333,7 +323,6 @@ def _run_security(args) -> int:
         churn_lifetime_minutes=args.churn_minutes,
         seed=args.seed,
         sample_interval=max(args.duration / 8.0, 1.0),
-        kernel=args.kernel,
     )
     result = SecurityExperiment(config).run()
     print(f"attack={args.attack} nodes={args.nodes} duration={args.duration:.0f}s")
@@ -357,7 +346,6 @@ def _run_anonymity(args) -> int:
         concurrent_lookup_rates=(args.alpha,),
         n_worlds=args.worlds,
         seed=args.seed,
-        kernel=args.kernel,
     )
     experiment = AnonymityExperiment(config)
     octopus = experiment.run_octopus()
@@ -378,7 +366,6 @@ def _run_efficiency(args) -> int:
         lookups_per_scheme=args.lookups,
         seed=args.seed,
         octopus=OctopusConfig(expected_network_size=args.nodes),
-        kernel=args.kernel,
     )
     result = EfficiencyExperiment(config).run()
     rows = result.table3_rows()
@@ -400,7 +387,6 @@ def _run_load(args) -> int:
             churn_lifetime_minutes=args.churn_minutes,
             sample_interval=max(args.duration / 8.0, 1.0),
             seed=args.seed,
-            kernel=args.kernel,
         )
         m = LoadExperiment(config).run().scalar_metrics()
         rows.append([
@@ -434,9 +420,7 @@ def _run_timing(args) -> int:
 
 
 def _run_ablation(args) -> int:
-    config = AblationConfig(
-        n_nodes=args.nodes, fraction_malicious=args.malicious, n_worlds=args.worlds, kernel=args.kernel
-    )
+    config = AblationConfig(n_nodes=args.nodes, fraction_malicious=args.malicious, n_worlds=args.worlds)
     result = AnonymityAblation(config).run()
     rows = [[p.variant, p.relay_pairs, p.dummy_queries, round(p.target_entropy, 2), round(p.target_leak, 2)]
             for p in result.points]

@@ -111,16 +111,13 @@ class OctopusNetwork:
         key_mode: str = FAST,
         latency_model: Optional[LatencyModel] = None,
         placement=None,
-        kernel: str = "object",
     ) -> "OctopusNetwork":
         """Build a complete Octopus network with ``n_nodes`` peers.
 
         Parameters mirror the paper's experiment setup: 20% malicious nodes by
         default, routing-state sizes from the configuration.  ``placement``
         optionally replaces the uniform-random malicious sample with a
-        strategy callable (see :meth:`repro.chord.ring.ChordRing.build`);
-        ``kernel`` selects the ring-membership backend
-        (:mod:`repro.sim.kernel` — ``"object"`` or ``"array"``).
+        strategy callable (see :meth:`repro.chord.ring.ChordRing.build`).
         """
         config = (config or OctopusConfig()).scaled_for(n_nodes)
         rng = RandomSource(seed)
@@ -134,7 +131,6 @@ class OctopusNetwork:
             id_bits=id_bits,
             key_mode=key_mode,
             seed=seed,
-            kernel=kernel,
         )
         ring = ChordRing.build(config=ring_config, rng=rng, ca=ca, placement=placement)
         return cls(ring=ring, ca=ca, config=config, rng=rng, latency_model=latency_model)

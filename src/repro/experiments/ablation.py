@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from ..anonymity.observations import AnonymityConfig
 from ..anonymity.ring_model import LightweightRing
 from ..anonymity.target import TargetAnonymityEstimator
-from ..sim.kernel import validate_kernel
 from ..sim.rng import RandomSource
 from .results import jsonify
 
@@ -41,11 +40,6 @@ class AblationConfig:
     relay_pairs_per_lookup: int = 4
     n_worlds: int = 150
     seed: int = 0
-    #: lookup-path backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         return jsonify(asdict(self))
@@ -112,7 +106,6 @@ class AnonymityAblation:
             fraction_malicious=cfg.fraction_malicious,
             seed=cfg.seed,
             placement=self.placement,
-            kernel=cfg.kernel,
         )
         result = AblationResult(config=cfg)
         for variant, multi_path, with_dummies in self.VARIANTS:

@@ -19,7 +19,6 @@ from ..anonymity.initiator import InitiatorAnonymityEstimator
 from ..anonymity.observations import AnonymityConfig
 from ..anonymity.ring_model import LightweightRing
 from ..anonymity.target import TargetAnonymityEstimator
-from ..sim.kernel import validate_kernel
 from .results import jsonify
 
 
@@ -33,11 +32,6 @@ class AnonymityExperimentConfig:
     concurrent_lookup_rates: Tuple[float, ...] = (0.005, 0.01)
     n_worlds: int = 200
     seed: int = 0
-    #: lookup-path backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         return jsonify(asdict(self))
@@ -129,7 +123,6 @@ class AnonymityExperiment:
             fraction_malicious=fraction_malicious,
             seed=self.config.seed,
             placement=self.placement,
-            kernel=self.config.kernel,
         )
 
     def run_octopus(self) -> List[AnonymityPoint]:

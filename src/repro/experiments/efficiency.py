@@ -31,7 +31,6 @@ from ..baselines.halo import HaloLookupProtocol
 from ..core.config import OctopusConfig
 from ..core.octopus_node import OctopusNetwork
 from ..sim.bandwidth import MessageSizeModel
-from ..sim.kernel import validate_kernel
 from ..sim.latency import KingLatencyModel
 from ..sim.metrics import Histogram
 from ..sim.rng import RandomSource
@@ -62,8 +61,6 @@ class EfficiencyExperimentConfig:
     processing_delay_mean: float = 0.020
     slow_node_probability: float = 0.03
     slow_node_delay_range: Tuple[float, float] = (0.5, 2.0)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
 
     def __post_init__(self) -> None:
         # Sequence fields normalize to tuples on construction: campaign specs
@@ -72,7 +69,6 @@ class EfficiencyExperimentConfig:
         # backend determinism contract both compare configs structurally).
         self.lookup_intervals_minutes = tuple(self.lookup_intervals_minutes)
         self.slow_node_delay_range = tuple(self.slow_node_delay_range)
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         return jsonify(asdict(self))
@@ -187,7 +183,6 @@ class EfficiencyExperiment:
             config=octopus_cfg,
             latency_model=latency_model,
             placement=self.placement,
-            kernel=cfg.kernel,
         )
         return network, latency_model
 

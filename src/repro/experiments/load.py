@@ -50,7 +50,6 @@ from ..core.config import OctopusConfig
 from ..core.octopus_node import OctopusNetwork
 from ..sim.churn import ChurnConfig, ChurnProcess, ChurnProfile
 from ..sim.engine import SimulationEngine
-from ..sim.kernel import validate_kernel
 from ..sim.latency import KingLatencyModel
 from ..sim.metrics import Histogram, MetricsRegistry
 from ..sim.rng import RandomSource
@@ -138,14 +137,11 @@ class LoadConfig:
     slow_node_probability: float = 0.03
     slow_node_delay_range: Tuple[float, float] = (0.5, 2.0)
     octopus: OctopusConfig = field(default_factory=OctopusConfig)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
 
     def __post_init__(self) -> None:
         # Tuple-normalize sequence fields so configs rebuilt from JSON
         # compare equal to fresh ones (resume + backend determinism).
         self.slow_node_delay_range = tuple(self.slow_node_delay_range)
-        validate_kernel(self.kernel)
 
     def validate(self) -> None:
         if self.n_nodes < 1:
@@ -158,7 +154,6 @@ class LoadConfig:
             raise ValueError("sample_interval must be positive")
         if self.service_time_mean_s < 0:
             raise ValueError("service_time_mean_s must be non-negative")
-        validate_kernel(self.kernel)
         _build_workload(self.workload, self.workload_params)  # fail preflight
 
     def build_workload(self) -> WorkloadModel:
@@ -269,7 +264,6 @@ class LoadExperiment:
             config=octopus_cfg,
             latency_model=KingLatencyModel(seed=cfg.seed),
             placement=self.placement,
-            kernel=cfg.kernel,
         )
         engine = SimulationEngine()
         network.bind_hooks(engine.hooks)

@@ -34,7 +34,6 @@ from ..core.octopus_node import OctopusNetwork
 from ..sim.churn import ChurnConfig, ChurnProcess, ChurnProfile
 from ..sim.control import ControlContext, Controller, EngagementRecorder
 from ..sim.engine import SimulationEngine
-from ..sim.kernel import validate_kernel
 from ..sim.metrics import MetricsRegistry
 from ..sim.rng import RandomSource
 from ..sim.workload import WorkloadModel
@@ -69,18 +68,12 @@ class SecurityExperimentConfig:
     sample_interval: float = 50.0
     include_lookups: bool = True
     octopus: OctopusConfig = field(default_factory=OctopusConfig)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
     def validate(self) -> None:
         if self.attack not in ATTACKS:
             raise ValueError(f"unknown attack {self.attack!r}; choose from {sorted(ATTACKS)}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON representation (tuples already converted to lists)."""
@@ -200,7 +193,6 @@ class SecurityExperiment:
             seed=cfg.seed,
             config=octopus_cfg,
             placement=self.placement,
-            kernel=cfg.kernel,
         )
         engine = SimulationEngine()
         # The control-plane bus is always bound: with no subscribers it costs
@@ -378,7 +370,6 @@ def run_attack_sweep(
             sample_interval=config.sample_interval,
             include_lookups=config.include_lookups,
             octopus=config.octopus,
-            kernel=config.kernel,
         )
         results[rate] = SecurityExperiment(config).run()
     return results

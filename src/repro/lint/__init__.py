@@ -1,8 +1,8 @@
 """Static analysis for the repro tree: determinism & layering rules.
 
-The byte-identity contract (identical trial records across backends and
-kernels under ``strip_timing``) is enforced dynamically by the differential
-and golden tests; this package enforces it *statically*, at diff time — a
+The byte-identity contract (identical trial records across backends under
+``strip_timing``) is enforced dynamically by the differential and golden
+tests; this package enforces it *statically*, at diff time — a
 stray ``time.time()``, an unsorted ``glob`` or a global-``random`` draw is
 flagged before it can rot a golden digest.  See ``docs/architecture.md``
 ("Static analysis") for the rule catalog and suppression policy, or run

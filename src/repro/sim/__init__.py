@@ -3,8 +3,8 @@
 This package reproduces the event-based simulator the paper built in C++
 (Section 5.1): a heap-based scheduler, a King-like wide-area latency model,
 churn with pluggable session-length profiles (exponential by default),
-pluggable lookup workload models, message-level networking with bandwidth
-accounting, and metric/trace collection used by every experiment harness.
+pluggable lookup workload models, message-size and bandwidth accounting, and
+metric/trace collection used by every experiment harness.
 """
 
 from .bandwidth import (
@@ -28,7 +28,6 @@ from .latency import (
     LatencyModel,
 )
 from .metrics import Counter, Histogram, MetricsRegistry, TimeSeries
-from .network import Message, SimulatedNetwork
 from .rng import RandomSource, derive_seed
 from .trace import TraceLog, TraceRecord
 from .workload import WorkloadModel
@@ -57,8 +56,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TimeSeries",
-    "Message",
-    "SimulatedNetwork",
     "RandomSource",
     "derive_seed",
     "TraceLog",

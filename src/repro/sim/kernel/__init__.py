@@ -1,43 +1,22 @@
-"""``repro.sim.kernel`` — pluggable ring-representation kernels.
+"""``repro.sim.kernel`` — the ring's membership state and greedy-path executor.
 
-The simulator's hot paths (ring membership, successor/finger resolution,
-greedy lookup routing, adversary-fraction metrics) are served by a *kernel*
-selected with ``kernel="object"`` (the historical per-object O(N) scans) or
-``kernel="array"`` (flat sorted arrays, incremental churn maintenance,
-cached finger resolution).  :class:`~repro.chord.ring.ChordRing`,
-:class:`~repro.anonymity.ring_model.LightweightRing` and
-:class:`~repro.core.octopus_node.OctopusNetwork` take the switch and keep
-their APIs unchanged; experiment configs, scenario specs and the CLI plumb
-it through, so any existing campaign runs on either kernel.
+:class:`ArrayRingKernel` owns the ground-truth membership behind
+:class:`~repro.chord.ring.ChordRing` (flat sorted arrays, incremental churn
+maintenance, cached finger resolution); :class:`FingerMatrix` and
+:func:`greedy_path_positions` run the greedy lookup paths of
+:class:`~repro.anonymity.ring_model.LightweightRing`.
 
-Kernels are pure implementation swaps: they draw no randomness and must be
-observationally identical (``tests/kernel`` enforces byte-identical trial
-records, ring invariants under churn interleavings, and golden digests).
-See ``docs/architecture.md`` for the layouts and cache-invalidation rules,
-and ``BENCH_kernel.json`` for the measured speedups.
+Both draw no randomness.  ``tests/kernel/oracle.py`` keeps the brute-force
+O(N)-scan reference they are checked against: byte-identical trial records,
+ring invariants under churn interleavings, and golden digests.  See
+``docs/architecture.md`` for the layouts and cache-invalidation rules.
 """
 
 from .array_kernel import ArrayRingKernel
-from .base import RingKernel, make_ring_kernel, validate_kernel
-from .object_kernel import ObjectRingKernel
 from .paths import FingerMatrix, greedy_path_positions
-
-#: kernel name -> class; the ``kernel=`` switch accepts these names.
-KERNELS = {
-    ObjectRingKernel.name: ObjectRingKernel,
-    ArrayRingKernel.name: ArrayRingKernel,
-}
-
-DEFAULT_KERNEL = ObjectRingKernel.name
 
 __all__ = [
     "ArrayRingKernel",
-    "DEFAULT_KERNEL",
     "FingerMatrix",
-    "KERNELS",
-    "ObjectRingKernel",
-    "RingKernel",
     "greedy_path_positions",
-    "make_ring_kernel",
-    "validate_kernel",
 ]

@@ -1,4 +1,11 @@
-"""The array kernel: flat sorted arrays with incremental maintenance.
+"""The ring kernel: mutable ground-truth membership behind :class:`ChordRing`.
+
+The kernel owns which identifiers exist, which are alive, which are
+malicious and which have been permanently removed, and answers the global
+queries the experiment scaffolding hammers on (sorted alive view,
+successor-of-key, malicious fractions, finger resolution).  The protocol
+logic never sees it; it talks to :class:`~repro.chord.ring.ChordRing`,
+which delegates here.  The kernel draws no randomness.
 
 State layout (for a ring of N identifiers):
 
@@ -7,9 +14,9 @@ State layout (for a ring of N identifiers):
   bytearrays indexed by slot.
 * ``_alive_sorted`` / ``_honest_alive`` — incrementally maintained sorted
   lists of the alive (and honest-alive) identifiers.  A churn event is an
-  O(log N) bisect plus a C-level memmove instead of the object kernel's
-  O(N) Python rescans, and every global read (successor-of-key, alive view,
-  sampling pools) is a bisect or a cached list.
+  O(log N) bisect plus a C-level memmove instead of an O(N) rescan, and
+  every global read (successor-of-key, alive view, sampling pools) is a
+  bisect or a cached list.
 * O(1) population counters back the two malicious-fraction metrics.
 
 Finger-resolution cache: ``resolve_fingers`` memoises one row of resolved
@@ -33,7 +40,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .base import RingKernel
+from .. import profiling
 
 #: Rows cached before the finger cache is dropped and restarted.  High enough
 #: that steady-state churn (recently rejoined nodes) never evicts, low enough
@@ -41,13 +48,17 @@ from .base import RingKernel
 _FINGER_CACHE_MAX_ROWS = 8192
 
 
-class ArrayRingKernel(RingKernel):
+class ArrayRingKernel:
     """Incrementally maintained flat-array membership state."""
 
-    name = "array"
-
     def __init__(self, space_size: int) -> None:
-        super().__init__(space_size)
+        if space_size < 1:
+            raise ValueError("space_size must be positive")
+        self.space_size = int(space_size)
+        # Bound once at construction (None when profiling is off): churn ops
+        # and finger-cache behaviour are counted behind a single `is not None`
+        # branch so the disabled path stays free.
+        self.profiler = profiling.active()
         self._ids: List[int] = []
         self._slot: Dict[int, int] = {}
         self._alive = bytearray()
@@ -68,6 +79,7 @@ class ArrayRingKernel(RingKernel):
 
     # ------------------------------------------------------------------ state
     def load(self, sorted_ids: Sequence[int], malicious_ids: Iterable[int]) -> None:
+        """Initialise from a sorted id list; every node starts alive."""
         self._ids = list(sorted_ids)
         n = len(self._ids)
         self._slot = {nid: i for i, nid in enumerate(self._ids)}
@@ -129,6 +141,7 @@ class ArrayRingKernel(RingKernel):
                 self._n_alive_malicious_unremoved -= 1
 
     def set_malicious(self, node_id: int, malicious: bool) -> None:
+        """Flip one node's allegiance mid-run (adaptive-adversary compromise)."""
         slot = self._slot.get(node_id)
         if slot is None or bool(self._malicious[slot]) == malicious:
             return
@@ -149,20 +162,19 @@ class ArrayRingKernel(RingKernel):
                 bisect.insort(self._honest_alive, node_id)
 
     # ---------------------------------------------------------------- queries
-    def is_alive(self, node_id: int) -> bool:
-        slot = self._slot.get(node_id)
-        return bool(self._alive[slot]) if slot is not None else False
-
-    def alive_count(self) -> int:
-        return self._n_alive
-
     def alive_ids_view(self) -> List[int]:
+        """Sorted alive ids: internal state, callers must not mutate."""
         return self._alive_sorted
 
-    def honest_alive_ids_view(self) -> List[int]:
-        return self._honest_alive
+    def alive_ids(self) -> List[int]:
+        """Sorted alive ids as a fresh list the caller owns."""
+        return list(self._alive_sorted)
+
+    def honest_alive_ids(self) -> List[int]:
+        return list(self._honest_alive)
 
     def successor_of(self, key: int) -> Optional[int]:
+        """First alive id at or clockwise-after ``key`` (None if ring empty)."""
         alive = self._alive_sorted
         if not alive:
             return None
@@ -183,6 +195,7 @@ class ArrayRingKernel(RingKernel):
 
     # ------------------------------------------------------------ finger cache
     def resolve_fingers(self, owner_id: int, ideals: Sequence[int]) -> List[Optional[int]]:
+        """First alive id at or after each ideal (with wraparound), cached per owner."""
         key = tuple(ideals)
         cached = self._finger_rows.get(owner_id)
         if cached is not None and self._row_ideals.get(owner_id) == key:
@@ -217,7 +230,7 @@ class ArrayRingKernel(RingKernel):
         return targets
 
     def finger_cache_size(self) -> int:
-        """Cached row count (introspection for tests and benchmarks)."""
+        """Cached row count (introspection for tests)."""
         return len(self._finger_rows)
 
     def _drop_finger_cache(self) -> None:

@@ -1,18 +1,18 @@
 """Batched greedy-lookup execution over a flat finger-position matrix.
 
 :class:`~repro.anonymity.ring_model.LightweightRing` computes thousands of
-greedy lookup paths per anonymity estimate; the object implementation pays a
-``normalize`` + bisect + two modular-distance calls for each of up to 40
-finger candidates at every hop.  :class:`FingerMatrix` resolves every node's
+greedy lookup paths per anonymity estimate; resolving each hop's fingers on
+the fly costs a ``normalize`` + bisect + two modular-distance calls for each
+of up to 40 finger candidates.  :class:`FingerMatrix` resolves every node's
 finger candidates to ring *positions* once — vectorised with numpy when it
 is available, lazily per row with ``bisect`` otherwise — so the per-hop work
 collapses to integer arithmetic over a precomputed row.
 
 The selection logic in :func:`greedy_path_positions` is a line-for-line
-transliteration of the object loop in ``LightweightRing.query_path_positions``
-(same candidate order, same strict-inequality tie-breaks), which is what
-makes the two kernels return byte-identical paths; ``tests/kernel`` pins
-this differentially and against golden digests.
+transliteration of the scalar per-hop loop kept in ``tests/kernel/oracle.py``
+(same candidate order, same strict-inequality tie-breaks), so both return
+byte-identical paths; ``tests/kernel`` pins this differentially and against
+golden digests.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class FingerMatrix:
 
         A candidate is admissible when it is not the current node and does
         not overshoot the target clockwise; among admissible candidates the
-        *first* one at the minimal gap wins — exactly the object loop's
+        *first* one at the minimal gap wins — exactly the scalar loop's
         strict ``gap < best_gap`` update order.
         """
         n = self.n
@@ -115,8 +115,8 @@ def greedy_path_positions(
 ) -> List[int]:
     """Greedy lookup path over a :class:`FingerMatrix`.
 
-    Mirrors ``LightweightRing.query_path_positions``: per hop, the best
-    finger candidate (via :meth:`FingerMatrix.best_finger`) competes with up
+    The path ``LightweightRing.query_path_positions`` returns: per hop, the
+    best finger candidate (via :meth:`FingerMatrix.best_finger`) competes with up
     to six successor steps, successor steps winning only on strictly smaller
     gap; the returned positions exclude the initiator.
     """

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from hypothesis import strategies as st
-
 from repro.chord.lookup import iterative_lookup, oracle_query_path
 from repro.chord.ring import ChordRing, RingConfig
 from repro.chord.stabilization import Stabilizer

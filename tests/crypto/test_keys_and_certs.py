@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.ca import CertificateAuthority
-from repro.crypto.certificates import Certificate, CertificateStore
+from repro.crypto.certificates import CertificateStore
 from repro.crypto.keys import FAST, SCHNORR, KeyPair, Signature, verify
 from repro.crypto.revocation import MerkleRevocationTree, RevocationList
 

@@ -1,10 +1,10 @@
 """Shared per-kind experiment cases for the kernel differential/golden suites.
 
-One small-but-nontrivial parameter set per experiment kind that supports the
-``kernel=`` switch.  The differential tests run each case under both kernels
-and demand byte-identical results; the golden tests pin the same cases to
-committed sha256 digests so a semantics drift in *either* kernel fails even
-when both kernels drift together.
+One small-but-nontrivial parameter set per experiment kind that owns a ring.
+The differential tests run each case on the runtime kernel and on the
+brute-force oracle (``oracle.use_oracle``) and demand byte-identical results;
+the golden tests pin the same cases to committed sha256 digests so a
+semantics drift fails even when kernel and oracle drift together.
 
 Keep these parameters stable: changing them invalidates the golden digests
 (regenerate with ``python tests/kernel/regenerate.py`` and commit the diff).
@@ -17,8 +17,8 @@ from typing import Dict
 
 from repro.campaign import canonical_json, get_experiment, strip_timing
 
-#: kind -> small deterministic params (seconds-scale under either kernel).
-#: ``timing`` is deliberately absent: it has no ring and no kernel switch.
+#: kind -> small deterministic params (seconds-scale on kernel and oracle).
+#: ``timing`` is deliberately absent: it has no ring.
 CASES: Dict[str, dict] = {
     "security": {"n_nodes": 60, "duration": 15.0, "sample_interval": 5.0, "seed": 3},
     "efficiency": {"n_nodes": 40, "lookups_per_scheme": 4, "seed": 3},
@@ -50,35 +50,7 @@ CASES: Dict[str, dict] = {
 }
 
 
-def with_kernel(kind: str, kernel: str) -> dict:
-    """The kind's case params with the kernel switch applied.
-
-    Scenario and adaptive configs carry the base experiment's params in a
-    nested ``base`` dict, so the switch nests accordingly.
-    """
-    params = copy.deepcopy(CASES[kind])
-    if kind in ("scenario", "adaptive"):
-        params["base"]["kernel"] = kernel
-    else:
-        params["kernel"] = kernel
-    return params
-
-
-def strip_kernel(obj):
-    """Drop every ``kernel`` key, recursively.
-
-    Result dicts embed their config — including the kernel name — so the
-    byte-identity comparison must blind itself to the one field that is
-    *supposed* to differ between the two runs.
-    """
-    if isinstance(obj, dict):
-        return {k: strip_kernel(v) for k, v in obj.items() if k != "kernel"}
-    if isinstance(obj, list):
-        return [strip_kernel(v) for v in obj]
-    return obj
-
-
-def run_canonical(kind: str, kernel: str) -> str:
-    """Canonical timing- and kernel-stripped JSON of one case run."""
-    result = get_experiment(kind).run(with_kernel(kind, kernel))
-    return canonical_json(strip_kernel(strip_timing(result.to_dict())))
+def run_canonical(kind: str) -> str:
+    """Canonical timing-stripped JSON of one case run."""
+    result = get_experiment(kind).run(copy.deepcopy(CASES[kind]))
+    return canonical_json(strip_timing(result.to_dict()))

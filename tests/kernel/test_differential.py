@@ -1,103 +1,45 @@
-"""Object-vs-array kernel differential suite.
+"""Runtime-kernel-vs-oracle differential suite.
 
-The determinism contract of the kernel switch: for every experiment kind
-that owns a ring, running the same config under ``kernel="object"`` and
-``kernel="array"`` produces byte-identical results once timing and the
-kernel name itself are stripped.  Kernels draw no randomness of their own —
-all draws come from named :class:`~repro.sim.rng.RandomSource` streams — so
-any divergence here is a semantics bug in one of the kernels, not noise.
+For every experiment kind that owns a ring, running the same config on the
+runtime :class:`~repro.sim.kernel.ArrayRingKernel` (and
+:class:`~repro.sim.kernel.FingerMatrix` paths) and on the brute-force
+reference in ``oracle.py`` produces byte-identical results once timing is
+stripped.  Neither draws randomness of its own — all draws come from named
+:class:`~repro.sim.rng.RandomSource` streams — so any divergence here is a
+semantics bug in the kernel, not noise.
 
-The same contract is enforced end-to-end through the campaign runner: a
-campaign sweeping ``kernel`` as a grid axis must produce trial records that
-differ *only* in the config's kernel field.
+The ring kernel is not a user choice: every kind rejects a ``kernel``
+parameter instead of ignoring it.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.campaign import CampaignSpec, canonical_json, get_experiment, run_campaign, strip_timing
-from repro.sim.kernel import KERNELS, DEFAULT_KERNEL, make_ring_kernel, validate_kernel
+from repro.campaign import available_kinds, get_experiment
+from repro.cli import main
 
-from cases import CASES, run_canonical, strip_kernel, with_kernel
-
-
-def test_kernel_registry():
-    assert set(KERNELS) == {"object", "array"}
-    assert DEFAULT_KERNEL == "object"
-    for name, cls in KERNELS.items():
-        assert cls.name == name
-        kern = make_ring_kernel(name, space_size=2**16)
-        assert type(kern) is cls
-    with pytest.raises(ValueError, match="unknown kernel"):
-        validate_kernel("hypercube")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        make_ring_kernel("hypercube", space_size=2**16)
+from cases import CASES, run_canonical
+from oracle import use_oracle
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
-def test_kernels_byte_identical_per_kind(kind):
-    """The tentpole acceptance criterion, per experiment kind."""
-    assert run_canonical(kind, "object") == run_canonical(kind, "array")
+def test_kernels_byte_identical_per_kind(kind, monkeypatch):
+    runtime = run_canonical(kind)
+    use_oracle(monkeypatch)
+    assert run_canonical(kind) == runtime
 
 
-def test_kernel_config_round_trips_through_adapter():
-    """The kernel name survives params -> typed config -> to_dict()."""
-    for kind in sorted(CASES):
-        adapter = get_experiment(kind)
-        config = adapter.build_config(with_kernel(kind, "array"))
-        dumped = config.to_dict()
-        if kind in ("scenario", "adaptive"):
-            dumped = dumped["base"]
-        assert dumped["kernel"] == "array"
+@pytest.mark.parametrize("kind", available_kinds())
+def test_kernel_param_rejected(kind):
+    """A stale ``kernel`` param fails loudly, in scenario/adaptive ``base`` too."""
+    params = {"base": {"kernel": "array"}} if kind in ("scenario", "adaptive") else {"kernel": "array"}
+    with pytest.raises(ValueError, match=r"unknown \w+ parameters: kernel"):
+        get_experiment(kind).run(params)
 
 
-def test_bad_kernel_rejected_at_config_time():
-    """Base kinds reject a bad kernel when the typed config is built; the
-    scenario and adaptive kinds defer base-config checks to run time (the
-    nested base dict is only turned into a typed config then)."""
-    for kind in sorted(CASES):
-        adapter = get_experiment(kind)
-        params = with_kernel(kind, "no-such-kernel")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            if kind in ("scenario", "adaptive"):
-                adapter.run(params)
-            else:
-                adapter.build_config(params)
-
-
-def test_timing_kind_has_no_kernel_switch():
-    """The timing experiment owns no ring; a kernel param must be rejected
-    loudly rather than silently ignored."""
-    adapter = get_experiment("timing")
-    with pytest.raises((TypeError, ValueError)):
-        adapter.build_config({"n_nodes": 40, "kernel": "array"})
-
-
-def test_campaign_sweeping_kernel_axis_is_kernel_blind(tmp_path):
-    """A campaign with kernel as a grid axis: paired trials agree exactly on
-    the timing-stripped, kernel-stripped view of their records."""
-    spec = CampaignSpec(
-        kind="security",
-        name="kernel-differential",
-        base={"n_nodes": 60, "duration": 15.0, "sample_interval": 5.0},
-        grid={"kernel": ["object", "array"]},
-        seeds=(0, 1),
-    )
-    report = run_campaign(spec, out_dir=tmp_path / "diff")
-    assert report.n_executed == 4
-
-    by_seed = {}
-    for trial in spec.expand():
-        record = json.loads((tmp_path / "diff" / "trials" / f"{trial.trial_id}.json").read_text())
-        assert record["params"]["kernel"] == trial.params["kernel"]
-        # trial_id hashes the params — kernel included — so it legitimately
-        # differs between the paired trials; blind the view to it as well.
-        stripped = strip_kernel(strip_timing(record))
-        stripped.pop("trial_id", None)
-        view = canonical_json(stripped)
-        by_seed.setdefault(trial.params["seed"], {})[trial.params["kernel"]] = view
-    for seed, views in by_seed.items():
-        assert views["object"] == views["array"], f"seed {seed} diverged"
+def test_cli_has_no_kernel_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--nodes", "20", "--lookups", "1", "--kernel", "array"])
+    assert exc.value.code != 0
+    assert "--kernel" in capsys.readouterr().err

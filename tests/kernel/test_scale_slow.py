@@ -1,10 +1,10 @@
-"""Slow tier: the 10^5-node paths the array kernel exists for.
+"""Slow tier: the 10^5-node paths the ring kernel exists for.
 
-These are the ISSUE's production-scale acceptance runs — Table 3 / Fig 7(a)
-(the efficiency experiment) on a 100,000-node ring, and the anonymity
-model's greedy lookups at the paper's 100,000-node scale — exercised end to
-end on the array kernel.  Run with ``pytest --run-slow -m slow``; the
-nightly workflow does.
+Production-scale runs — Table 3 / Fig 7(a) (the efficiency experiment) on a
+100,000-node ring, and the anonymity model's greedy lookups at the paper's
+100,000-node scale — exercised end to end, plus a 10^4-node differential
+against the oracle.  Run with ``pytest --run-slow -m slow``; the nightly
+workflow does.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ import random
 import pytest
 
 from repro.anonymity.ring_model import LightweightRing
-from repro.campaign import get_experiment
+from repro.campaign import canonical_json, get_experiment, strip_timing
+
+from oracle import use_oracle
 
 pytestmark = pytest.mark.slow
 
 
 def test_table3_fig7a_at_1e5_nodes_on_array_kernel():
     """A full efficiency run (Table 3 rows + Fig 7(a) CDFs) at N=100,000."""
-    result = get_experiment("efficiency").run(
-        {"n_nodes": 100_000, "lookups_per_scheme": 5, "kernel": "array", "seed": 0}
-    )
+    result = get_experiment("efficiency").run({"n_nodes": 100_000, "lookups_per_scheme": 5, "seed": 0})
     rows = result.table3_rows()
     assert [row["scheme"] for row in rows] == ["octopus", "chord", "halo"]
     for row in rows:
@@ -37,24 +37,20 @@ def test_table3_fig7a_at_1e5_nodes_on_array_kernel():
         assert fractions[-1] == pytest.approx(1.0)
 
 
-def test_efficiency_kernels_agree_at_1e4_nodes():
-    """Differential check at the first 'slow' size: 10^4 nodes."""
-    from cases import strip_kernel
+def test_efficiency_kernels_agree_at_1e4_nodes(monkeypatch):
+    """Differential check against the oracle at the first 'slow' size: 10^4 nodes."""
+    def view():
+        result = get_experiment("efficiency").run({"n_nodes": 10_000, "lookups_per_scheme": 4, "seed": 1})
+        return canonical_json(strip_timing(result.to_dict()))
 
-    from repro.campaign import canonical_json, strip_timing
-
-    views = {}
-    for kernel in ("object", "array"):
-        result = get_experiment("efficiency").run(
-            {"n_nodes": 10_000, "lookups_per_scheme": 4, "kernel": kernel, "seed": 1}
-        )
-        views[kernel] = canonical_json(strip_kernel(strip_timing(result.to_dict())))
-    assert views["object"] == views["array"]
+    runtime = view()
+    use_oracle(monkeypatch)
+    assert view() == runtime
 
 
 def test_lightweight_paths_at_1e5_nodes_on_array_kernel():
     """The anonymity model's greedy lookups at the paper's 100,000 nodes."""
-    ring = LightweightRing(n_nodes=100_000, fraction_malicious=0.2, seed=0, kernel="array")
+    ring = LightweightRing(n_nodes=100_000, fraction_malicious=0.2, seed=0)
     rnd = random.Random(0)
     hop_counts = []
     for _ in range(200):

@@ -5,7 +5,8 @@ resurrected a node the CA had revoked and the ring had permanently removed:
 a churn rejoin scheduled *before* the revocation would fire after it and put
 the node back online with full standing — silently voiding the revocation.
 The ``join-leave-cycling`` attacker strategy leans exactly on that window,
-so the ring now refuses rebirth for ``removed_ids`` on both kernels.
+so the ring now refuses rebirth for ``removed_ids``.  Each case runs on the
+runtime kernel (``array``) and on the brute-force oracle (``object``).
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomSource
 
+from oracle import use_oracle
 
-def _build_ring(kernel: str) -> ChordRing:
-    config = RingConfig(
-        n_nodes=40, fraction_malicious=0.25, id_bits=16, seed=11, kernel=kernel
-    )
+
+@pytest.fixture(params=["object", "array"])
+def ring(request, monkeypatch) -> ChordRing:
+    if request.param == "object":
+        use_oracle(monkeypatch)
+    config = RingConfig(n_nodes=40, fraction_malicious=0.25, id_bits=16, seed=11)
     return ChordRing.build(config=config, rng=RandomSource(11))
 
 
-@pytest.mark.parametrize("kernel", ["object", "array"])
-def test_mark_alive_refuses_removed_nodes(kernel):
-    ring = _build_ring(kernel)
+def test_mark_alive_refuses_removed_nodes(ring):
     victim = sorted(ring.malicious_ids)[0]
     ring.remove_permanently(victim)
     assert not ring.node(victim).alive
@@ -36,9 +38,7 @@ def test_mark_alive_refuses_removed_nodes(kernel):
     assert victim not in ring.alive_ids_sorted()
 
 
-@pytest.mark.parametrize("kernel", ["object", "array"])
-def test_set_malicious_refuses_removed_nodes(kernel):
-    ring = _build_ring(kernel)
+def test_set_malicious_refuses_removed_nodes(ring):
     honest = ring.honest_ids(alive_only=True)[0]
     ring.remove_permanently(honest)
     assert ring.set_malicious(honest, True) is False
@@ -47,10 +47,8 @@ def test_set_malicious_refuses_removed_nodes(kernel):
     assert ring.set_malicious(-1, True) is False
 
 
-@pytest.mark.parametrize("kernel", ["object", "array"])
-def test_churn_rejoin_after_revocation_stays_dead(kernel):
+def test_churn_rejoin_after_revocation_stays_dead(ring):
     """The load-bearing interleaving: depart -> revoke+remove -> rejoin fires."""
-    ring = _build_ring(kernel)
     engine = SimulationEngine()
     churn = ChurnProcess(
         engine,
@@ -76,10 +74,8 @@ def test_churn_rejoin_after_revocation_stays_dead(kernel):
     assert ring.set_malicious(victim, False) is False
 
 
-@pytest.mark.parametrize("kernel", ["object", "array"])
-def test_non_removed_rejoin_still_works(kernel):
+def test_non_removed_rejoin_still_works(ring):
     """The guard must not break ordinary churn rebirth."""
-    ring = _build_ring(kernel)
     engine = SimulationEngine()
     churn = ChurnProcess(
         engine,

@@ -1,4 +1,4 @@
-"""Tests for the simulated network, churn process, bandwidth and metrics."""
+"""Tests for the churn process, bandwidth accounting, metrics and traces."""
 
 from __future__ import annotations
 
@@ -11,66 +11,9 @@ from hypothesis import strategies as st
 from repro.sim.bandwidth import BandwidthAccountant, MessageSizeModel
 from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.engine import SimulationEngine
-from repro.sim.latency import ConstantLatencyModel
 from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries, percentile
-from repro.sim.network import SimulatedNetwork
 from repro.sim.rng import RandomSource
 from repro.sim.trace import TraceLog
-
-
-class TestSimulatedNetwork:
-    def _net(self, drop=0.0):
-        engine = SimulationEngine()
-        net = SimulatedNetwork(engine, ConstantLatencyModel(0.01), RandomSource(1), drop_probability=drop)
-        return engine, net
-
-    def test_delivers_message_after_latency(self):
-        engine, net = self._net()
-        received = []
-        net.register(2, lambda m: received.append((engine.now, m.payload)))
-        net.register(1, lambda m: None)
-        net.send(1, 2, "ping", payload="hello", size_bytes=10)
-        engine.run()
-        assert len(received) == 1
-        assert received[0][1] == "hello"
-        assert received[0][0] >= 0.01
-
-    def test_message_to_unregistered_endpoint_dropped(self):
-        engine, net = self._net()
-        net.register(1, lambda m: None)
-        net.send(1, 99, "ping")
-        engine.run()
-        assert net.messages_dropped == 1
-        assert net.messages_delivered == 0
-
-    def test_message_to_dead_endpoint_dropped(self):
-        engine, net = self._net()
-        received = []
-        net.register(2, lambda m: received.append(m))
-        net.set_alive(2, False)
-        net.register(1, lambda m: None)
-        net.send(1, 2, "ping")
-        engine.run()
-        assert received == []
-        assert net.messages_dropped == 1
-
-    def test_bandwidth_accounted_even_when_dropped(self):
-        engine, net = self._net()
-        net.register(1, lambda m: None)
-        net.send(1, 99, "ping", size_bytes=123)
-        engine.run()
-        assert net.accountant.sent[1] == 123
-
-    def test_drop_probability(self):
-        engine, net = self._net(drop=1.0)
-        received = []
-        net.register(2, lambda m: received.append(m))
-        net.register(1, lambda m: None)
-        for _ in range(10):
-            net.send(1, 2, "ping")
-        engine.run()
-        assert received == []
-        assert net.delivery_ratio() == 0.0
 
 
 class TestChurnProcess:

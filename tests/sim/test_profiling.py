@@ -2,8 +2,8 @@
 
 Two properties matter and both are pinned here:
 
-* **observation** — with a profiler captured, the engine, hook bus and both
-  ring kernels report their dispatch/publish/churn/finger activity;
+* **observation** — with a profiler captured, the engine, hook bus and the
+  ring kernel report their dispatch/publish/churn/finger activity;
 * **transparency** — a profiled run returns byte-identical results to an
   unprofiled one, records only grow a ``timing.profile`` block (inside the
   ``strip_timing``-dropped view), and with profiling off no component holds
@@ -22,7 +22,7 @@ from repro.campaign.backends.base import execute_trial
 from repro.sim import profiling
 from repro.sim.engine import SimulationEngine
 from repro.sim.hooks import HookBus, NodeDeparted
-from repro.sim.kernel import make_ring_kernel
+from repro.sim.kernel import ArrayRingKernel
 from repro.sim.metrics import Histogram
 
 
@@ -112,10 +112,9 @@ def test_hook_bus_zero_subscriber_fast_path_counts_nothing():
     assert "hooks.publishes" not in prof.counters
 
 
-@pytest.mark.parametrize("kernel_name", ["object", "array"])
-def test_kernels_count_churn_ops(kernel_name):
+def test_kernels_count_churn_ops():
     with profiling.capture(force=True) as prof:
-        kernel = make_ring_kernel(kernel_name, 128)
+        kernel = ArrayRingKernel(128)
         kernel.load([1, 5, 9, 13], malicious_ids=[5])
         kernel.set_alive(5, False)
         kernel.set_alive(5, False)  # no-op flip: not a churn op
@@ -126,7 +125,7 @@ def test_kernels_count_churn_ops(kernel_name):
 
 def test_array_kernel_counts_finger_cache_hits_and_misses():
     with profiling.capture(force=True) as prof:
-        kernel = make_ring_kernel("array", 128)
+        kernel = ArrayRingKernel(128)
         kernel.load([1, 5, 9, 13], malicious_ids=[])
         ideals = [2, 6, 10]
         kernel.resolve_fingers(1, ideals)   # cold: miss
@@ -136,20 +135,10 @@ def test_array_kernel_counts_finger_cache_hits_and_misses():
     assert prof.counters["kernel.finger_cache_hits"] == 1
 
 
-def test_object_kernel_counts_finger_resolves():
-    with profiling.capture(force=True) as prof:
-        kernel = make_ring_kernel("object", 128)
-        kernel.load([1, 5, 9], malicious_ids=[])
-        kernel.resolve_fingers(1, [2])
-        kernel.resolve_fingers(1, [2])
-    assert prof.counters["kernel.finger_resolves"] == 2
-
-
 def test_disabled_components_bind_no_profiler():
     assert SimulationEngine().profiler is None
     assert HookBus().profiler is None
-    assert make_ring_kernel("object", 8).profiler is None
-    assert make_ring_kernel("array", 8).profiler is None
+    assert ArrayRingKernel(8).profiler is None
 
 
 # ------------------------------------------------------------- transparency
